@@ -1,5 +1,5 @@
-//! The shared round engine — one implementation of the paper's protocol
-//! behind every trainer.
+//! The round engine — the one in-process implementation of the paper's
+//! protocol.
 //!
 //! Each round is one pass through the pipeline
 //!
@@ -11,27 +11,32 @@
 //!   borrow handed to the workers);
 //! * **propose** — every honest worker estimates a gradient at `x_t`;
 //! * **attack** — the omniscient adversary observes the round and forges the
-//!   `f` Byzantine proposals;
+//!   `f` Byzantine proposals, and a [`QuorumBook`] settles which proposals
+//!   the round aggregates (at most one per worker);
 //! * **aggregate** — the server applies the choice function `F` through a
-//!   reused [`AggregationContext`] (zero steady-state heap allocations on
-//!   the aggregation path for the barrier strategies);
+//!   reused [`AggregationContext`](krum_core::AggregationContext) (zero
+//!   steady-state heap allocations on the aggregation path);
 //! * **step** — `x_{t+1} = x_t − γ_t · F(…)`;
 //! * **record** — per-phase wall-clock timings and convergence metrics go
 //!   into a [`RoundRecord`].
 //!
 //! The pipeline is parameterized by an [`ExecutionStrategy`]:
 //!
-//! * [`ExecutionStrategy::Sequential`] — the reference barrier engine;
-//! * [`ExecutionStrategy::Threaded`] — honest gradients fan out over the
-//!   `rayon` pool and a simulated [`NetworkModel`] charges the synchronous
-//!   barrier (slowest worker) to the metrics;
+//! * [`ExecutionStrategy::Sequential`] — the reference barrier engine: the
+//!   book with `quorum = n`, every proposal admitted at arrival 0 in worker
+//!   order;
+//! * [`ExecutionStrategy::Threaded`] — the same barrier, with honest
+//!   gradients fanned out over the `rayon` pool and a simulated
+//!   [`NetworkModel`] charging the synchronous barrier (slowest worker) to
+//!   the metrics;
 //! * [`ExecutionStrategy::AsyncQuorum`] — the asynchronous-leaning server of
-//!   the paper's Byzantine model: each round aggregates the fastest
+//!   the paper's Byzantine model: the book aggregates the fastest
 //!   `quorum ≥ n − f` arrivals under the simulated network, carries the
-//!   stragglers into later rounds up to a staleness bound, and honours the
-//!   adversary's [`AttackTiming`] (straggle, respond-last). The aggregation
-//!   rule must be built for `quorum` proposals — Krum's `2f + 2 < n`
-//!   precondition is re-validated against the quorum size, not `n`.
+//!   stragglers into later rounds up to a staleness bound, and the engine
+//!   honours the adversary's [`AttackTiming`] (straggle, respond-last). The
+//!   aggregation rule must be built for `quorum` proposals — Krum's
+//!   `2f + 2 < n` precondition is re-validated against the quorum size, not
+//!   `n`. Its reuse-stale mode aggregates a latest-proposal table instead.
 //!
 //! Because every random stream derives from the master seed, every strategy
 //! is **bit-reproducible**, and the two barrier strategies follow identical
@@ -56,6 +61,7 @@ use crate::config::{ClusterSpec, TrainingConfig};
 use crate::drift::DriftTracker;
 use crate::error::TrainError;
 use crate::network::NetworkModel;
+use crate::quorum::{check_refresh_pace, QuorumBook, QuorumStats};
 use crate::round_core::{AccuracyProbe, RoundCore};
 
 /// Derives an independent RNG stream from the master seed.
@@ -86,12 +92,11 @@ pub(crate) const NETWORK_STREAM: u64 = u64::MAX - 2;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ExecutionStrategy {
     /// Honest workers run one after the other on the server thread — the
-    /// reference engine of [`SyncTrainer`](crate::SyncTrainer).
+    /// reference engine.
     Sequential,
     /// Honest worker gradients are computed in parallel on the `rayon` pool
     /// and the simulated [`NetworkModel`] charges per-round communication
-    /// time to the metrics — the engine of
-    /// [`ThreadedTrainer`](crate::ThreadedTrainer).
+    /// time to the metrics.
     Threaded {
         /// The simulated network charged to each round's timings.
         network: NetworkModel,
@@ -102,10 +107,11 @@ pub enum ExecutionStrategy {
     /// ([`AttackTiming`]) straggle deliberately or wait to observe the
     /// closing quorum before responding.
     ///
-    /// Arrived-but-unaggregated proposals are consumed oldest-first, with at
-    /// most **one proposal per worker per quorum** (the paper's model: each
-    /// worker contributes one vector per aggregation — this is what caps
-    /// the Byzantine share of a quorum at `f`). With every worker proposing
+    /// The [`QuorumBook`] consumes arrived-but-unaggregated proposals
+    /// oldest-first, with at most **one proposal per worker per quorum**
+    /// (the paper's model: each worker contributes one vector per
+    /// aggregation — this is what caps the Byzantine share of a quorum at
+    /// `f`). With every worker proposing
     /// each round and only `quorum < n` consumed, the surplus forms a stale
     /// backlog bounded by `max_staleness` — the steady-state cost of a
     /// partial quorum is *staleness*, and the
@@ -136,11 +142,6 @@ pub enum ExecutionStrategy {
 }
 
 impl ExecutionStrategy {
-    /// Whether honest-gradient computation fans out over the thread pool.
-    fn parallel_workers(&self) -> bool {
-        matches!(self, Self::Threaded { .. })
-    }
-
     /// The simulated network, when the strategy carries one.
     pub(crate) fn network(&self) -> Option<NetworkModel> {
         match *self {
@@ -174,123 +175,93 @@ impl std::fmt::Display for ExecutionStrategy {
     }
 }
 
-/// An in-flight proposal the async-quorum strategy carries across rounds.
-/// Everything in the pending pool has already reached the server (it arrived
-/// after the previous round's quorum closed), so it is available — and ages —
-/// from the next round on.
-#[derive(Debug, Clone)]
-struct PendingProposal {
-    /// Worker that issued the proposal (`≥ n − f` means Byzantine).
-    worker: usize,
-    /// Round the proposal's gradient was computed at.
-    issued_round: usize,
-    /// The proposed vector.
-    vector: Vector,
+/// The omniscient adversary: the attack, its display name and its RNG
+/// stream.
+struct Adversary {
+    attack: Box<dyn Attack>,
+    name: String,
+    rng: ChaCha8Rng,
 }
 
-/// One proposal competing for a slot in this round's quorum.
-struct Candidate {
-    /// Sort tier: 0 = already arrived (carried straggler), 1 = fresh racing
-    /// arrival, 2 = deliberately late (straggling Byzantine worker).
-    tier: u8,
-    /// Simulated arrival nanos within the round (tier 1 only).
-    arrival: u128,
-    /// Round the proposal was issued at.
-    issued_round: usize,
-    /// Issuing worker.
-    worker: usize,
-    /// The proposed vector.
-    vector: Vector,
-}
-
-impl Candidate {
-    fn sort_key(&self) -> (u8, u128, usize, usize) {
-        (self.tier, self.arrival, self.issued_round, self.worker)
-    }
-}
-
-/// Forges the Byzantine proposals and enforces the attack contract (count
-/// and dimensions). `observed` is what the adversary has seen this round —
-/// every fresh honest proposal for barrier strategies and racing/straggling
-/// adversaries, or the quorum-closing set for a last-to-respond adversary.
-#[allow(clippy::too_many_arguments)]
-fn forge_proposals(
-    attack: &dyn Attack,
-    attack_name: &str,
-    rng: &mut ChaCha8Rng,
-    observed: &[Vector],
-    params: &Vector,
-    true_gradient: Option<&Vector>,
-    byzantine: usize,
-    total_workers: usize,
-    round: usize,
-    aggregator_name: &str,
-    dim: usize,
-) -> Result<Vec<Vector>, TrainError> {
-    let ctx = AttackContext {
-        honest_proposals: observed,
-        current_params: params,
-        true_gradient,
-        byzantine_count: byzantine,
-        total_workers,
-        round,
-        aggregator_name,
-    };
-    let forged = attack.forge(&ctx, rng)?;
-    if forged.len() != byzantine {
-        return Err(TrainError::AttackContract {
-            attack: attack_name.to_string(),
-            message: format!("returned {} proposals, expected {byzantine}", forged.len()),
-        });
-    }
-    for proposal in &forged {
-        if proposal.dim() != dim {
+impl Adversary {
+    /// Forges the Byzantine proposals, enforces the attack contract (count
+    /// and dimensions) and quantizes them like every other proposal (NaN/∞
+    /// payloads survive — the codecs escape non-finite blocks — so
+    /// poisoning attacks stay faithful). `observed` is what the adversary
+    /// has seen this round: every fresh honest proposal, or the
+    /// quorum-closing set for a last-to-respond adversary.
+    fn forge(
+        &mut self,
+        core: &RoundCore,
+        cluster: ClusterSpec,
+        observed: &[Vector],
+        params: &Vector,
+        true_gradient: Option<&Vector>,
+        round: usize,
+    ) -> Result<Vec<Vector>, TrainError> {
+        let byzantine = cluster.byzantine();
+        let ctx = AttackContext {
+            honest_proposals: observed,
+            current_params: params,
+            true_gradient,
+            byzantine_count: byzantine,
+            total_workers: cluster.workers(),
+            round,
+            aggregator_name: core.aggregator_name(),
+        };
+        let mut forged = self.attack.forge(&ctx, &mut self.rng)?;
+        if forged.len() != byzantine {
             return Err(TrainError::AttackContract {
-                attack: attack_name.to_string(),
-                message: format!(
-                    "returned a proposal of dimension {}, expected {}",
-                    proposal.dim(),
-                    dim
-                ),
+                attack: self.name.clone(),
+                message: format!("returned {} proposals, expected {byzantine}", forged.len()),
             });
         }
+        for proposal in &forged {
+            if proposal.dim() != core.dim() {
+                return Err(TrainError::AttackContract {
+                    attack: self.name.clone(),
+                    message: format!(
+                        "returned a proposal of dimension {}, expected {}",
+                        proposal.dim(),
+                        core.dim()
+                    ),
+                });
+            }
+        }
+        if let Some(codec) = core.compression() {
+            transform_vectors(&**codec, &mut forged, params.as_slice());
+        }
+        Ok(forged)
     }
-    Ok(forged)
 }
 
-/// Feeds the round's observers once the aggregate is accepted: the drift
-/// tracker fills the drift columns of the record, and a stateful adversary
-/// receives the [`RoundFeedback`] it adapts on. `worker_ids[i]` is the
-/// worker behind `proposals[i]`; the record's selection fields must already
-/// be remapped to worker ids. Stateless attacks pay no feedback cost (no
-/// clone, no observe call), so pre-existing trajectories are untouched.
-fn observe_round(
-    drift: &mut DriftTracker,
-    attack: &mut dyn Attack,
-    record: &mut RoundRecord,
-    aggregate: &Vector,
-    proposals: &[Vector],
-    worker_ids: &[usize],
-    honest: usize,
-) {
-    drift.observe(
-        record,
-        aggregate,
-        proposals,
-        worker_ids,
-        honest,
-        record.learning_rate,
-    );
-    if attack.stateful() {
-        let feedback = RoundFeedback {
-            round: record.round,
-            aggregate: aggregate.clone(),
-            learning_rate: record.learning_rate,
-            selected_worker: record.selected_worker,
-            selected_byzantine: record.selected_byzantine,
-            quorum_workers: worker_ids.to_vec(),
-        };
-        attack.observe(&feedback);
+/// The reuse-stale latest-proposal table: one row per worker, refreshed in
+/// place (`assign`) and aggregated at arity `n` every round.
+struct LatestTable {
+    rows: Vec<Vector>,
+    /// Round each row was issued at.
+    issued: Vec<usize>,
+    /// Per-row refresh counters, handed to the aggregation workspace so
+    /// the incremental Gram cache knows which rows changed.
+    generations: Vec<u64>,
+    /// The table's slot → worker map: row `i` *is* worker `i`.
+    workers: Vec<usize>,
+}
+
+impl LatestTable {
+    fn new(n: usize, dim: usize) -> Self {
+        Self {
+            rows: vec![Vector::zeros(dim); n],
+            issued: vec![0; n],
+            generations: vec![0; n],
+            workers: (0..n).collect(),
+        }
+    }
+
+    fn refresh(&mut self, worker: usize, row: &[f64], round: usize) {
+        self.rows[worker].assign(row);
+        self.issued[worker] = round;
+        self.generations[worker] = self.generations[worker].wrapping_add(1);
     }
 }
 
@@ -305,24 +276,26 @@ fn transform_vectors(codec: &dyn GradientCodec, vectors: &mut [Vector], referenc
     }
 }
 
-/// The shared round engine behind [`SyncTrainer`](crate::SyncTrainer) and
-/// [`ThreadedTrainer`](crate::ThreadedTrainer), and the only implementation
-/// of the async partial-quorum protocol.
+/// The shared round engine: the in-process implementation of every
+/// [`ExecutionStrategy`].
 ///
 /// Holds the cluster state (aggregator, attack, worker estimators, RNG
 /// streams) and executes one round at a time through the
-/// broadcast → propose → attack → aggregate → step → record pipeline. Built
-/// perf-first: the proposal buffer and the [`AggregationContext`] are
-/// allocated once and reused across rounds, and worker RNGs are independent
-/// streams derived from the master seed so every execution strategy follows
-/// a reproducible trajectory.
+/// broadcast → propose → attack → aggregate → step → record pipeline. The
+/// proposals a round aggregates are decided by a [`QuorumBook`] — the same
+/// book the TCP server drives with real arrivals — except under reuse-stale
+/// execution, which refreshes its own latest-proposal table. Built
+/// perf-first: the book, the proposal buffer and the
+/// [`AggregationContext`](krum_core::AggregationContext) are allocated once
+/// and reused across rounds, and worker RNGs are independent streams
+/// derived from the master seed so every execution strategy follows a
+/// reproducible trajectory.
 pub struct RoundEngine {
     cluster: ClusterSpec,
     /// The server half of the pipeline (aggregate → step → record), shared
     /// with the networked execution world (`krum-server`).
     core: RoundCore,
-    attack: Box<dyn Attack>,
-    attack_name: String,
+    adversary: Adversary,
     /// One estimator per honest worker.
     estimators: Vec<Box<dyn GradientEstimator>>,
     /// Dedicated metrics/adversary probe; when absent, `estimators[0]`
@@ -332,39 +305,22 @@ pub struct RoundEngine {
     dim: usize,
     /// One independent RNG per honest worker.
     worker_rngs: Vec<ChaCha8Rng>,
-    attack_rng: ChaCha8Rng,
     network_rng: ChaCha8Rng,
-    /// Per-round proposal scratch (`n` slots), reused across rounds.
+    /// This round's fresh proposals (`n` slots: estimates, then forgeries),
+    /// moved into the book or copied into the reuse table.
     proposals: Vec<Vector>,
-    /// In-flight straggler proposals carried across rounds (async quorum
-    /// strategy only; always empty for the barrier strategies).
-    pending: Vec<PendingProposal>,
-    /// The vectors aggregated this round under the async strategy, in
-    /// `(issued_round, worker)` order.
-    quorum_vectors: Vec<Vector>,
-    /// `(worker, issued_round)` per entry of `quorum_vectors`, to attribute
-    /// selections back to workers.
-    quorum_meta: Vec<(usize, usize)>,
-    /// Latest-proposal table for the reuse-stale async mode: one slot per
-    /// worker, refreshed in place (`assign`), aggregated at arity `n` every
-    /// round. Empty until the first reuse round.
-    latest: Vec<Vector>,
-    /// Round each `latest` entry was issued at.
-    latest_issued: Vec<usize>,
-    /// Per-worker refresh counters, handed to the aggregation workspace so
-    /// the incremental Gram cache knows which rows changed.
-    generations: Vec<u64>,
+    /// Which proposals each round aggregates: `quorum = n` for the barrier
+    /// strategies, the async quorum and staleness bound otherwise.
+    book: QuorumBook,
+    /// Arrival-race scratch, `(arrival nanos, worker)`, reused every round.
+    race: Vec<(u128, usize)>,
+    /// Reuse-stale state; sized on the first reuse round.
+    table: Option<LatestTable>,
     /// Whether reuse-stale rounds arm the incremental Gram cache (on by
     /// default; benches disable it to measure the full-recompute baseline).
     gram_cache: bool,
     /// Drift-metrics accumulator, fed after every closed round.
     drift: DriftTracker,
-    /// Identity worker map `0..n` — the proposal layout of the barrier and
-    /// reuse-stale paths, where slot `i` *is* worker `i`.
-    identity_ids: Vec<usize>,
-    /// Worker ids behind this round's aggregated vectors on the async path
-    /// (the worker components of `quorum_meta`), rebuilt each round.
-    round_workers: Vec<usize>,
 }
 
 impl RoundEngine {
@@ -385,8 +341,8 @@ impl RoundEngine {
     ///
     /// Returns [`TrainError::InvalidConfig`] when the configuration is
     /// invalid, the estimator count/dimensions are inconsistent, the quorum
-    /// bounds `n − f ≤ quorum ≤ n` are violated, or the network model is
-    /// invalid.
+    /// bounds are violated (see [`check_quorum`](crate::check_quorum) and
+    /// [`check_refresh_pace`]), or the network model is invalid.
     pub fn new(
         cluster: ClusterSpec,
         aggregator: Box<dyn Aggregator>,
@@ -397,39 +353,26 @@ impl RoundEngine {
         strategy: ExecutionStrategy,
     ) -> Result<Self, TrainError> {
         config.validate()?;
-        match &strategy {
-            ExecutionStrategy::Sequential => {}
-            ExecutionStrategy::Threaded { network } => network.validate()?,
+        if let Some(network) = strategy.network() {
+            network.validate()?;
+        }
+        let n = cluster.workers();
+        let book = match strategy {
             ExecutionStrategy::AsyncQuorum {
                 quorum,
-                network,
-                reuse_stale,
+                reuse_stale: true,
                 ..
             } => {
-                network.validate()?;
-                let n = cluster.workers();
-                if *reuse_stale {
-                    // Reuse mode aggregates the full latest-proposal table
-                    // every round; `quorum` only paces refreshes, so any
-                    // positive rate up to full refresh is meaningful.
-                    if *quorum < 1 || *quorum > n {
-                        return Err(TrainError::config(format!(
-                            "reuse-stale quorum must satisfy 1 <= quorum <= n, got quorum = \
-                             {quorum} with n = {n}"
-                        )));
-                    }
-                } else {
-                    let min = cluster.honest();
-                    if *quorum < min || *quorum > n {
-                        return Err(TrainError::config(format!(
-                            "async quorum must satisfy n - f <= quorum <= n, got quorum = \
-                             {quorum} with n = {n}, f = {}",
-                            cluster.byzantine()
-                        )));
-                    }
-                }
+                check_refresh_pace(n, quorum).map_err(TrainError::config)?;
+                QuorumBook::new(cluster, n, 0)?
             }
-        }
+            ExecutionStrategy::AsyncQuorum {
+                quorum,
+                max_staleness,
+                ..
+            } => QuorumBook::new(cluster, quorum, max_staleness)?,
+            _ => QuorumBook::new(cluster, n, 0)?,
+        };
         if estimators.len() != cluster.honest() {
             return Err(TrainError::config(format!(
                 "expected one estimator per honest worker ({}), got {}",
@@ -467,30 +410,26 @@ impl RoundEngine {
         let worker_rngs = (0..cluster.honest())
             .map(|w| stream_rng(seed, w as u64))
             .collect();
-        let proposals = vec![Vector::zeros(dim); cluster.workers()];
         Ok(Self {
             cluster,
             core: RoundCore::new(cluster, aggregator, config, dim)?,
-            attack_name: attack.name(),
-            attack,
+            adversary: Adversary {
+                name: attack.name(),
+                attack,
+                rng: stream_rng(seed, ATTACK_STREAM),
+            },
             estimators,
             probe,
-            attack_rng: stream_rng(seed, ATTACK_STREAM),
             network_rng: stream_rng(seed, NETWORK_STREAM),
             strategy,
             dim,
             worker_rngs,
-            proposals,
-            pending: Vec::new(),
-            quorum_vectors: Vec::new(),
-            quorum_meta: Vec::new(),
-            latest: Vec::new(),
-            latest_issued: Vec::new(),
-            generations: Vec::new(),
+            proposals: vec![Vector::zeros(dim); n],
+            book,
+            race: Vec::with_capacity(n),
+            table: None,
             gram_cache: true,
             drift: DriftTracker::new(),
-            identity_ids: (0..cluster.workers()).collect(),
-            round_workers: Vec::new(),
         })
     }
 
@@ -603,46 +542,122 @@ impl RoundEngine {
     /// Returns [`TrainError`] when a worker, the attack or the aggregator
     /// fails, or when the aggregate update is NaN (a poisoned round).
     pub fn step(&mut self, params: &mut Vector, round: usize) -> Result<RoundRecord, TrainError> {
-        match self.strategy {
+        let round_start = Instant::now();
+        let honest = self.cluster.honest();
+
+        let propose_start = Instant::now();
+        self.propose(params)?;
+        let propose_nanos = propose_start.elapsed().as_nanos();
+
+        // Phase 3: attack. The omniscient adversary observes the round,
+        // including the true gradient when the workload exposes one, and
+        // the round settles which proposals it aggregates.
+        let attack_start = Instant::now();
+        let true_gradient = self.probe_estimator().true_gradient(params);
+        let (stats, cutoff) = match self.strategy {
             ExecutionStrategy::AsyncQuorum {
                 quorum,
                 max_staleness,
                 network,
-                reuse_stale,
-            } => {
-                if reuse_stale {
-                    self.step_reuse(params, round, quorum, max_staleness, network)
-                } else {
-                    self.step_async(params, round, quorum, max_staleness, network)
-                }
+                reuse_stale: true,
+            } => self.refresh_table(
+                params,
+                round,
+                quorum,
+                max_staleness,
+                network,
+                true_gradient.as_ref(),
+            )?,
+            _ => {
+                self.fill_quorum(params, round, true_gradient.as_ref())?;
+                (self.book.stats(), self.book.cutoff())
             }
-            _ => self.step_barrier(params, round),
+        };
+        let attack_nanos = attack_start.elapsed().as_nanos();
+
+        // Phases 4–6: aggregate → step → record through the shared core —
+        // the paper's O(n²·d) server-side hot path, through the reused
+        // workspace. Stateful rules key their cross-round memory by the
+        // worker behind each slot, not by the slot.
+        let (proposals, workers) = match &self.table {
+            Some(table) => {
+                // Arming the per-worker generations lets the workspace
+                // recompute only the refreshed Gram rows — bit-identical to
+                // a full recompute.
+                if self.gram_cache {
+                    self.core.set_generations(&table.generations);
+                }
+                (&table.rows[..], &table.workers[..])
+            }
+            None => (self.book.vectors(), self.book.workers()),
+        };
+        self.core.set_slot_workers(workers);
+        let probe = self.probe.as_deref().unwrap_or(&*self.estimators[0]);
+        let mut record =
+            self.core
+                .close_round(params, round, proposals, true_gradient, Some(probe))?;
+        record.propose_nanos = propose_nanos;
+        record.attack_nanos = attack_nanos;
+        record.round_nanos = round_start.elapsed().as_nanos();
+        record.selected_worker = record.selected_worker.map(|slot| workers[slot]);
+        record.selected_byzantine = record.selected_worker.map(|w| w >= honest);
+        // The simulated network charges the quorum's closing arrival, or
+        // (threaded) the synchronous barrier's slowest worker, on top of
+        // the measured wall clock.
+        record.network_nanos = match self.strategy {
+            ExecutionStrategy::Threaded { network } => {
+                network.round_nanos(self.cluster.workers(), self.dim, &mut self.network_rng)
+            }
+            ExecutionStrategy::AsyncQuorum { .. } => {
+                stats.record(&mut record);
+                cutoff
+            }
+            ExecutionStrategy::Sequential => 0,
+        };
+        record.round_nanos += record.network_nanos;
+
+        // Observers of the accepted aggregate: the drift columns, and the
+        // feedback a stateful adversary adapts on. Stateless attacks pay
+        // no feedback cost (no clone, no observe call).
+        let learning_rate = record.learning_rate;
+        let aggregate = self.core.last_aggregate();
+        self.drift.observe(
+            &mut record,
+            aggregate,
+            proposals,
+            workers,
+            honest,
+            learning_rate,
+        );
+        if self.adversary.attack.stateful() {
+            self.adversary.attack.observe(&RoundFeedback {
+                round,
+                aggregate: aggregate.clone(),
+                learning_rate,
+                selected_worker: record.selected_worker,
+                selected_byzantine: record.selected_byzantine,
+                quorum_workers: workers.to_vec(),
+            });
         }
+        Ok(record)
     }
 
-    /// One full-barrier round (sequential or threaded).
-    fn step_barrier(
-        &mut self,
-        params: &mut Vector,
-        round: usize,
-    ) -> Result<RoundRecord, TrainError> {
-        let round_start = Instant::now();
+    /// Phases 1+2: broadcast + propose. The server publishes `x_t` (the
+    /// shared borrow) and every honest worker estimates a gradient at it
+    /// from its own RNG stream — the same draws in the same order under
+    /// every strategy. Under a codec the proposals are quantized before the
+    /// adversary observes them, exactly as a remote worker's encode →
+    /// server decode would produce.
+    fn propose(&mut self, params: &Vector) -> Result<(), TrainError> {
         let honest = self.cluster.honest();
-        let byzantine = self.cluster.byzantine();
-
-        // Phase 1+2: broadcast + propose. The server publishes `x_t` (the
-        // shared borrow below) and every honest worker estimates a gradient
-        // at it; the scratch buffer is reused, only the estimator outputs
-        // are fresh.
-        let propose_start = Instant::now();
-        if self.strategy.parallel_workers() && honest > 1 {
-            let params_ref: &Vector = params;
-            let outputs: Result<Vec<Vector>, _> = self.estimators[..honest]
+        if matches!(self.strategy, ExecutionStrategy::Threaded { .. }) && honest > 1 {
+            let outputs: Result<Vec<Vector>, _> = self
+                .estimators
                 .iter()
                 .zip(self.worker_rngs.iter_mut())
                 .collect::<Vec<_>>()
                 .into_par_iter()
-                .map(|(estimator, rng)| estimator.estimate(params_ref, rng))
+                .map(|(estimator, rng)| estimator.estimate(params, rng))
                 .collect();
             for (slot, proposal) in self.proposals.iter_mut().zip(outputs?) {
                 *slot = proposal;
@@ -653,404 +668,122 @@ impl RoundEngine {
                     self.estimators[w].estimate(params, &mut self.worker_rngs[w])?;
             }
         }
-        // Quantize-before-aggregate: under a codec the adversary observes
-        // (and the server aggregates) the dequantized proposals, exactly
-        // as a remote worker's encode → server decode would produce.
         if let Some(codec) = self.core.compression() {
             transform_vectors(&**codec, &mut self.proposals[..honest], params.as_slice());
         }
-        let propose_nanos = propose_start.elapsed().as_nanos();
-
-        // Phase 3: attack. The omniscient adversary observes everything,
-        // including the true gradient when the workload exposes one.
-        let attack_start = Instant::now();
-        let true_gradient = self.probe_estimator().true_gradient(params);
-        let forged = forge_proposals(
-            &*self.attack,
-            &self.attack_name,
-            &mut self.attack_rng,
-            &self.proposals[..honest],
-            params,
-            true_gradient.as_ref(),
-            byzantine,
-            self.cluster.workers(),
-            round,
-            self.core.aggregator_name(),
-            self.dim,
-        )?;
-        for (slot, proposal) in self.proposals[honest..].iter_mut().zip(forged) {
-            *slot = proposal;
-        }
-        // Byzantine proposals cross the same wire as honest ones: quantize
-        // them too (NaN/∞ payloads survive — the codecs escape non-finite
-        // blocks — so poisoning attacks stay faithful).
-        if let Some(codec) = self.core.compression() {
-            transform_vectors(&**codec, &mut self.proposals[honest..], params.as_slice());
-        }
-        let attack_nanos = attack_start.elapsed().as_nanos();
-
-        // Phases 4–6: aggregate → step → record through the shared core —
-        // the paper's O(n²·d) server-side hot path, through the reused
-        // workspace (no steady-state allocations).
-        let probe = self.probe.as_deref().unwrap_or(&*self.estimators[0]);
-        let mut record =
-            self.core
-                .close_round(params, round, &self.proposals, true_gradient, Some(probe))?;
-        record.propose_nanos = propose_nanos;
-        record.attack_nanos = attack_nanos;
-        record.round_nanos = round_start.elapsed().as_nanos();
-        observe_round(
-            &mut self.drift,
-            &mut *self.attack,
-            &mut record,
-            self.core.last_aggregate(),
-            &self.proposals,
-            &self.identity_ids,
-            honest,
-        );
-
-        // The simulated network (threaded strategy) charges the synchronous
-        // barrier's communication time on top of the measured wall clock.
-        if let ExecutionStrategy::Threaded { network } = self.strategy {
-            let simulated =
-                network.round_nanos(self.cluster.workers(), self.dim, &mut self.network_rng);
-            record.network_nanos = simulated;
-            record.round_nanos += simulated;
-        }
-        Ok(record)
+        Ok(())
     }
 
-    /// One partial-quorum round: aggregate the fastest `quorum` arrivals,
-    /// carry the stragglers forward (bounded by `max_staleness`), honour the
-    /// adversary's timing.
-    fn step_async(
+    /// Phase 3 of a barrier or partial-quorum round: the fresh proposals
+    /// race into the book behind the carried stragglers — under the
+    /// simulated network for [`ExecutionStrategy::AsyncQuorum`], all at
+    /// arrival 0 in worker order otherwise — and the adversary forges
+    /// according to its [`AttackTiming`].
+    fn fill_quorum(
         &mut self,
-        params: &mut Vector,
+        params: &Vector,
         round: usize,
-        quorum: usize,
-        max_staleness: usize,
-        network: NetworkModel,
-    ) -> Result<RoundRecord, TrainError> {
-        let round_start = Instant::now();
+        true_gradient: Option<&Vector>,
+    ) -> Result<(), TrainError> {
         let honest = self.cluster.honest();
-        let byzantine = self.cluster.byzantine();
-
-        // Phase 1+2: broadcast + propose — every honest worker estimates at
-        // `x_t`, consuming the same per-worker RNG streams (in the same
-        // order) as the barrier strategies, so `quorum = n` reproduces the
-        // Sequential trajectory bit-for-bit.
-        let propose_start = Instant::now();
-        for w in 0..honest {
-            self.proposals[w] = self.estimators[w].estimate(params, &mut self.worker_rngs[w])?;
-        }
-        // Quantize-before-aggregate, against this round's params (carried
-        // stragglers were transformed at their issue round and ride as-is,
-        // matching a server that decodes proposals at arrival).
-        if let Some(codec) = self.core.compression() {
-            transform_vectors(&**codec, &mut self.proposals[..honest], params.as_slice());
-        }
-        let propose_nanos = propose_start.elapsed().as_nanos();
-
-        // Carried stragglers are available immediately: they arrived after
-        // the previous round's quorum closed. (The carry step already
-        // enforced the staleness bound, so everything pending is usable.)
-        let mut candidates: Vec<Candidate> = self
-            .pending
-            .drain(..)
-            .map(|entry| Candidate {
-                tier: 0,
-                arrival: 0,
-                issued_round: entry.issued_round,
-                worker: entry.worker,
-                vector: entry.vector,
-            })
-            .collect();
-
-        // Phase 3: attack — timing-aware. Racing and straggling adversaries
-        // forge now (observing every fresh honest proposal, as in the
-        // barrier engines); a last-to-respond adversary forges after the
-        // quorum-closing set is known.
-        let attack_start = Instant::now();
-        let true_gradient = self.probe_estimator().true_gradient(params);
-        let timing = self.attack.timing();
-        let early_forged = match timing {
-            AttackTiming::Honest | AttackTiming::Straggle => {
-                let mut forged = forge_proposals(
-                    &*self.attack,
-                    &self.attack_name,
-                    &mut self.attack_rng,
-                    &self.proposals[..honest],
-                    params,
-                    true_gradient.as_ref(),
-                    byzantine,
-                    self.cluster.workers(),
-                    round,
-                    self.core.aggregator_name(),
-                    self.dim,
-                )?;
-                if let Some(codec) = self.core.compression() {
-                    transform_vectors(&**codec, &mut forged, params.as_slice());
-                }
-                Some(forged)
-            }
-            AttackTiming::LastToRespond => None,
+        let network = match self.strategy {
+            ExecutionStrategy::AsyncQuorum { network, .. } => Some(network),
+            _ => None,
         };
-
-        // Fresh honest arrivals race under the simulated network. The
-        // proposal vectors are moved out of the scratch buffer (it is
-        // refilled at the top of the next round), so the async path avoids
-        // cloning the fresh gradients.
-        let mut max_fresh_arrival: u128 = 0;
-        for w in 0..honest {
-            let arrival = network.worker_round_trip_nanos(self.dim, &mut self.network_rng);
-            max_fresh_arrival = max_fresh_arrival.max(arrival);
-            candidates.push(Candidate {
-                tier: 1,
-                arrival,
-                issued_round: round,
-                worker: w,
-                vector: std::mem::replace(&mut self.proposals[w], Vector::zeros(0)),
-            });
-        }
-        if let Some(forged) = early_forged {
-            for (b, vector) in forged.into_iter().enumerate() {
-                let (tier, arrival) = if timing == AttackTiming::Straggle {
-                    // Deliberately after every honest proposal: out of the
-                    // quorum unless the server cannot close without
-                    // Byzantine slots (quorum > available others).
-                    (2, u128::MAX)
-                } else {
-                    (
-                        1,
-                        network.worker_round_trip_nanos(self.dim, &mut self.network_rng),
-                    )
-                };
-                candidates.push(Candidate {
-                    tier,
-                    arrival,
-                    issued_round: round,
-                    worker: honest + b,
-                    vector,
-                });
+        let timing = self.adversary.attack.timing();
+        // Racing and straggling adversaries forge now, observing every
+        // fresh honest proposal; a last-to-respond adversary forges once
+        // the quorum-closing set is known.
+        let late = timing == AttackTiming::LastToRespond;
+        if !late {
+            let forged = self.adversary.forge(
+                &self.core,
+                self.cluster,
+                &self.proposals[..honest],
+                params,
+                true_gradient,
+                round,
+            )?;
+            for (slot, vector) in self.proposals[honest..].iter_mut().zip(forged) {
+                *slot = vector;
             }
         }
 
-        candidates.sort_by_key(Candidate::sort_key);
-
-        // Quorum selection. At most **one proposal per worker** enters a
-        // quorum — the paper's model has each worker contribute one vector
-        // per aggregation, and this is what caps the Byzantine share of a
-        // quorum at `f` (otherwise a Byzantine worker's carried straggler
-        // plus its fresh proposal could both land in one round and defeat a
-        // rule validated for `f` of `quorum`). The earliest arrival per
-        // worker wins; a worker's newer proposal stays in flight and
-        // competes again next round (or ages out).
-        let mut taken = vec![false; self.cluster.workers()];
-        let mut selected: Vec<Candidate> = Vec::with_capacity(quorum);
-        let want = match timing {
-            // The adversary watches the wire and slips its proposals in just
-            // before the quorum would close: only `quorum − f` legitimate
-            // arrivals are observed before the Byzantine workers respond.
-            AttackTiming::LastToRespond => quorum.saturating_sub(byzantine),
-            _ => quorum,
+        // The arrival race. Honest workers draw first, keeping the network
+        // stream aligned across timings.
+        let dim = self.dim;
+        let draw = |rng: &mut ChaCha8Rng| {
+            network.map_or(0, |network| network.worker_round_trip_nanos(dim, rng))
         };
-        let mut rest: Vec<Candidate> = Vec::with_capacity(candidates.len());
-        for c in candidates.drain(..) {
-            if selected.len() < want && !taken[c.worker] {
-                taken[c.worker] = true;
-                selected.push(c);
+        self.race.clear();
+        for w in 0..honest {
+            self.race.push((draw(&mut self.network_rng), w));
+        }
+        let slowest_honest = self.race.iter().map(|&(at, _)| at).max().unwrap_or(0);
+        for w in honest..self.cluster.workers() {
+            match timing {
+                AttackTiming::Honest => self.race.push((draw(&mut self.network_rng), w)),
+                // Deliberately after every honest proposal: out of the
+                // quorum unless it cannot close without Byzantine slots.
+                AttackTiming::Straggle => self.race.push((u128::MAX, w)),
+                AttackTiming::LastToRespond => {}
+            }
+        }
+        self.race.sort_unstable();
+
+        // A last-to-respond adversary watches the wire and slips its
+        // proposals in just before the quorum would close: only `quorum − f`
+        // legitimate arrivals are observed before it responds.
+        let reserve = if late { self.cluster.byzantine() } else { 0 };
+        self.book.open(round, reserve);
+        for &(arrival, w) in &self.race {
+            // A straggler pulled in to fill the quorum arrives right after
+            // the slowest honest proposal.
+            let arrival = if w >= honest && timing == AttackTiming::Straggle {
+                slowest_honest
             } else {
-                rest.push(c);
-            }
+                arrival
+            };
+            let vector = std::mem::take(&mut self.proposals[w]);
+            self.book.admit(w, round, vector, arrival);
         }
-        candidates = rest;
-
-        // The arrival that closes the quorum so far (carried proposals cost
-        // nothing; a straggling Byzantine worker pulled in to fill the
-        // quorum arrives right after the slowest honest proposal).
-        let effective_arrival = |c: &Candidate| -> u128 {
-            match c.tier {
-                0 => 0,
-                2 => max_fresh_arrival,
-                _ => c.arrival,
-            }
-        };
-        let mut cutoff_nanos = selected.iter().map(&effective_arrival).max().unwrap_or(0);
-
-        // Move the selection into the reusable quorum buffers (no vector
-        // clones on this path).
-        self.quorum_vectors.clear();
-        self.quorum_meta.clear();
-        for c in selected {
-            self.quorum_meta.push((c.worker, c.issued_round));
-            self.quorum_vectors.push(c.vector);
-        }
-
-        if timing == AttackTiming::LastToRespond {
+        if late {
             // The Byzantine workers respond with full knowledge of exactly
             // the set about to be aggregated, timed at its closing arrival —
-            // the server never waits for them, so the quorum's network
-            // charge stays the observed cutoff, not the barrier's slowest
-            // worker.
-            let mut forged = forge_proposals(
-                &*self.attack,
-                &self.attack_name,
-                &mut self.attack_rng,
-                &self.quorum_vectors,
+            // the server never waits for them, so the network charge stays
+            // the observed cutoff. Slots they leave open close on the next
+            // legitimate arrivals when the book closes.
+            let forged = self.adversary.forge(
+                &self.core,
+                self.cluster,
+                self.book.vectors(),
                 params,
-                true_gradient.as_ref(),
-                byzantine,
-                self.cluster.workers(),
+                true_gradient,
                 round,
-                self.core.aggregator_name(),
-                self.dim,
             )?;
-            if let Some(codec) = self.core.compression() {
-                transform_vectors(&**codec, &mut forged, params.as_slice());
-            }
+            self.book.release();
             for (b, vector) in forged.into_iter().enumerate() {
-                if self.quorum_vectors.len() >= quorum {
+                if self.book.is_full() {
                     break;
                 }
-                let worker = honest + b;
-                // A Byzantine worker already in the quorum (via a carried
-                // straggler) does not get a second proposal in.
-                if taken[worker] {
-                    continue;
-                }
-                taken[worker] = true;
-                self.quorum_meta.push((worker, round));
-                self.quorum_vectors.push(vector);
-            }
-            // If skipped duplicates left slots open, the quorum closes on
-            // the next legitimate arrivals instead (extending the cutoff).
-            if self.quorum_vectors.len() < quorum {
-                let mut rest: Vec<Candidate> = Vec::with_capacity(candidates.len());
-                for c in candidates.drain(..) {
-                    if self.quorum_vectors.len() < quorum && !taken[c.worker] {
-                        taken[c.worker] = true;
-                        cutoff_nanos = cutoff_nanos.max(effective_arrival(&c));
-                        self.quorum_meta.push((c.worker, c.issued_round));
-                        self.quorum_vectors.push(c.vector);
-                    } else {
-                        rest.push(c);
-                    }
-                }
-                candidates = rest;
+                let cutoff = self.book.cutoff();
+                self.book.admit(honest + b, round, vector, cutoff);
             }
         }
-        let attack_nanos = attack_start.elapsed().as_nanos();
-        debug_assert!(
-            {
-                let mut seen = vec![false; self.cluster.workers()];
-                self.quorum_meta
-                    .iter()
-                    .all(|&(w, _)| !std::mem::replace(&mut seen[w], true))
-            },
-            "a quorum must hold at most one proposal per worker (Byzantine share <= f)"
-        );
-
-        // Quorum/staleness stats.
-        let quorum_size = self.quorum_meta.len();
-        let stale_in_quorum = self
-            .quorum_meta
-            .iter()
-            .filter(|&&(_, issued)| issued < round)
-            .count();
-        let max_staleness_in_quorum = self
-            .quorum_meta
-            .iter()
-            .map(|&(_, issued)| round - issued)
-            .max()
-            .unwrap_or(0);
-
-        // Aggregation input order: (issued_round, worker) — with a full
-        // fresh quorum this is plain worker order, matching the barrier
-        // engines' proposal layout.
-        let mut ordered: Vec<((usize, usize), Vector)> = self
-            .quorum_meta
-            .drain(..)
-            .zip(self.quorum_vectors.drain(..))
-            .collect();
-        ordered.sort_by_key(|&((worker, issued), _)| (issued, worker));
-        for (meta, vector) in ordered {
-            self.quorum_meta.push(meta);
-            self.quorum_vectors.push(vector);
-        }
-
-        // Hand the slot → worker map to the aggregation workspace so
-        // stateful rules (reputation weights) key their cross-round memory
-        // by worker id, not by quorum slot — slots are not stable worker
-        // identities when `quorum < n`.
-        self.round_workers.clear();
-        self.round_workers
-            .extend(self.quorum_meta.iter().map(|&(worker, _)| worker));
-        self.core.set_slot_workers(&self.round_workers);
-
-        // Unselected arrivals carry into the next round — unless carrying
-        // them would exceed the staleness bound, in which case the server
-        // drops them on the floor (and the metrics say so).
-        let mut dropped_stale = 0usize;
-        for c in candidates {
-            let staleness_next = round + 1 - c.issued_round;
-            if staleness_next > max_staleness {
-                dropped_stale += 1;
-            } else {
-                self.pending.push(PendingProposal {
-                    worker: c.worker,
-                    issued_round: c.issued_round,
-                    vector: c.vector,
-                });
-            }
-        }
-        let pending_carryover = self.pending.len();
-
-        // Phases 4–6: aggregate → step → record over the partial set,
-        // through the shared core. The rule was built for `quorum`
-        // proposals, so its preconditions (Krum's `2f + 2 < n`) hold
-        // against the quorum size; selection attribution is remapped
-        // through the quorum below.
-        let probe = self.probe.as_deref().unwrap_or(&*self.estimators[0]);
-        let mut record = self.core.close_round(
-            params,
-            round,
-            &self.quorum_vectors,
-            true_gradient,
-            Some(probe),
-        )?;
-        record.propose_nanos = propose_nanos;
-        record.attack_nanos = attack_nanos;
-        record.round_nanos = round_start.elapsed().as_nanos();
-        record.selected_worker = record.selected_worker.map(|slot| self.quorum_meta[slot].0);
-        record.selected_byzantine = record.selected_worker.map(|w| w >= honest);
-        record.quorum_size = Some(quorum_size);
-        record.stale_in_quorum = Some(stale_in_quorum);
-        record.max_staleness_in_quorum = Some(max_staleness_in_quorum);
-        record.dropped_stale = Some(dropped_stale);
-        record.pending_carryover = Some(pending_carryover);
-        record.network_nanos = cutoff_nanos;
-        record.round_nanos += cutoff_nanos;
-        observe_round(
-            &mut self.drift,
-            &mut *self.attack,
-            &mut record,
-            self.core.last_aggregate(),
-            &self.quorum_vectors,
-            &self.round_workers,
-            honest,
-        );
-        Ok(record)
+        self.book.close();
+        Ok(())
     }
 
-    /// One reuse-stale round: the server aggregates the full latest-proposal
-    /// table (arity `n`) after refreshing `quorum` entries — the
-    /// stale-gradient parameter-server model, where workers overwrite their
-    /// slot whenever they finish and the server never waits for more than
-    /// the refresh pace plus the staleness bound.
+    /// Phase 3 of a reuse-stale round: refreshes rows of the
+    /// latest-proposal table, which is then aggregated whole (arity `n`) —
+    /// the stale-gradient parameter-server model, where workers overwrite
+    /// their row whenever they finish and the server never waits for more
+    /// than the refresh pace plus the staleness bound. Returns the round's
+    /// stats and network charge.
     ///
     /// Refresh selection per round:
     ///
-    /// 1. every entry whose age reached `max_staleness` **must** refresh
+    /// 1. every row whose age reached `max_staleness` **must** refresh
     ///    (round 0 forces the whole table — there is nothing to reuse);
     /// 2. remaining capacity up to `quorum` goes to the earliest fresh
     ///    arrivals under the simulated network, honouring the adversary's
@@ -1062,225 +795,122 @@ impl RoundEngine {
     /// recompute at a newer `x_t` anyway) and show up in `dropped_stale`;
     /// `pending_carryover` is always 0 — staleness lives in the table
     /// itself, visible through `stale_in_quorum`.
-    fn step_reuse(
+    fn refresh_table(
         &mut self,
-        params: &mut Vector,
+        params: &Vector,
         round: usize,
         quorum: usize,
         max_staleness: usize,
         network: NetworkModel,
-    ) -> Result<RoundRecord, TrainError> {
-        let round_start = Instant::now();
+        true_gradient: Option<&Vector>,
+    ) -> Result<(QuorumStats, u128), TrainError> {
         let honest = self.cluster.honest();
-        let byzantine = self.cluster.byzantine();
         let n = self.cluster.workers();
-
-        // Phase 1+2: broadcast + propose — same per-worker RNG streams in
-        // the same order as every other strategy.
-        let propose_start = Instant::now();
-        for w in 0..honest {
-            self.proposals[w] = self.estimators[w].estimate(params, &mut self.worker_rngs[w])?;
-        }
-        // Quantize-before-aggregate: table entries hold dequantized
-        // vectors, refreshed against the params of their refresh round.
-        if let Some(codec) = self.core.compression() {
-            transform_vectors(&**codec, &mut self.proposals[..honest], params.as_slice());
-        }
-        let propose_nanos = propose_start.elapsed().as_nanos();
-
-        // First reuse round: size the table (the only allocating round).
-        let cold_start = self.latest.len() != n;
-        if cold_start {
-            self.latest = vec![Vector::zeros(self.dim); n];
-            self.latest_issued = vec![0; n];
-            self.generations = vec![0; n];
-        }
-        let forced = |w: usize| cold_start || round - self.latest_issued[w] >= max_staleness;
-
-        // Phase 3: attack — timing-aware, as in `step_async`.
-        let attack_start = Instant::now();
-        let true_gradient = self.probe_estimator().true_gradient(params);
-        let timing = self.attack.timing();
-        let early_forged = match timing {
-            AttackTiming::Honest | AttackTiming::Straggle => {
-                let mut forged = forge_proposals(
-                    &*self.attack,
-                    &self.attack_name,
-                    &mut self.attack_rng,
-                    &self.proposals[..honest],
-                    params,
-                    true_gradient.as_ref(),
-                    byzantine,
-                    n,
-                    round,
-                    self.core.aggregator_name(),
-                    self.dim,
-                )?;
-                if let Some(codec) = self.core.compression() {
-                    transform_vectors(&**codec, &mut forged, params.as_slice());
-                }
-                Some(forged)
-            }
-            AttackTiming::LastToRespond => None,
+        let timing = self.adversary.attack.timing();
+        let late = timing == AttackTiming::LastToRespond;
+        let early_forged = if late {
+            None
+        } else {
+            Some(self.adversary.forge(
+                &self.core,
+                self.cluster,
+                &self.proposals[..honest],
+                params,
+                true_gradient,
+                round,
+            )?)
         };
+        // First reuse round: size the table (the only allocating round).
+        let cold_start = self.table.is_none();
+        let table = self
+            .table
+            .get_or_insert_with(|| LatestTable::new(n, self.dim));
 
         // Arrival race. Honest workers always draw (keeping the network
-        // stream aligned across timings); Byzantine arrivals depend on the
-        // adversary's timing.
+        // stream aligned across timings); `u128::MAX` keeps a straggling or
+        // last-to-respond Byzantine worker out of it.
         let mut arrival = vec![u128::MAX; n];
-        let mut max_honest_arrival: u128 = 0;
         for slot in arrival.iter_mut().take(honest) {
             *slot = network.worker_round_trip_nanos(self.dim, &mut self.network_rng);
-            max_honest_arrival = max_honest_arrival.max(*slot);
         }
-        match timing {
-            AttackTiming::Honest => {
-                for slot in arrival.iter_mut().skip(honest) {
-                    *slot = network.worker_round_trip_nanos(self.dim, &mut self.network_rng);
-                }
+        let slowest_honest = arrival[..honest].iter().copied().max().unwrap_or(0);
+        if timing == AttackTiming::Honest {
+            for slot in arrival.iter_mut().skip(honest) {
+                *slot = network.worker_round_trip_nanos(self.dim, &mut self.network_rng);
             }
-            // Deliberately after every honest proposal; `u128::MAX` keeps
-            // them out of the race, `effective` charges the honest cutoff
-            // when the staleness bound forces them in.
-            AttackTiming::Straggle | AttackTiming::LastToRespond => {}
         }
 
-        // Refresh selection: forced entries first, then earliest arrivals
+        // Refresh selection: forced rows first, then the earliest arrivals
         // up to `quorum`. A last-to-respond adversary always refreshes (it
-        // is never the bottleneck), so its slots are pre-charged.
+        // is never the bottleneck).
         let mut refresh = vec![false; n];
         let mut refreshed = 0usize;
         for (w, slot) in refresh.iter_mut().enumerate() {
-            let always = timing == AttackTiming::LastToRespond && w >= honest;
-            if forced(w) || always {
+            if cold_start || round - table.issued[w] >= max_staleness || (late && w >= honest) {
                 *slot = true;
                 refreshed += 1;
             }
         }
         if refreshed < quorum {
-            let mut race: Vec<(u128, usize)> = (0..n)
-                .filter(|&w| !refresh[w])
-                .filter(|&w| timing != AttackTiming::LastToRespond || w < honest)
-                .map(|w| (arrival[w], w))
-                .collect();
-            race.sort_unstable();
-            for &(_, w) in race.iter().take(quorum - refreshed) {
+            self.race.clear();
+            self.race
+                .extend((0..n).filter(|&w| !refresh[w]).map(|w| (arrival[w], w)));
+            self.race.sort_unstable();
+            for &(_, w) in self.race.iter().take(quorum - refreshed) {
                 refresh[w] = true;
                 refreshed += 1;
             }
         }
 
-        // Land the honest refreshes (moving out of the scratch buffer) and
-        // compute the round's network charge: the slowest landed arrival,
-        // with straggling Byzantine workers pulled in at the honest cutoff.
-        let mut cutoff_nanos: u128 = 0;
-        let mut dropped_stale = 0usize;
+        // Land the refreshes and charge the slowest landed arrival, with
+        // straggling Byzantine workers pulled in at the honest cutoff. An
+        // unused fresh gradient is dropped: by the next round its worker
+        // re-estimates at the new parameters.
+        let mut cutoff: u128 = 0;
+        let mut dropped = 0usize;
         for w in 0..honest {
             if refresh[w] {
-                self.latest[w].assign(self.proposals[w].as_slice());
-                self.latest_issued[w] = round;
-                self.generations[w] = self.generations[w].wrapping_add(1);
-                cutoff_nanos = cutoff_nanos.max(arrival[w]);
+                table.refresh(w, self.proposals[w].as_slice(), round);
+                cutoff = cutoff.max(arrival[w]);
             } else {
-                // The fresh gradient goes unused: by the next round the
-                // worker re-estimates at the new parameters.
-                dropped_stale += 1;
+                dropped += 1;
             }
         }
-        if let Some(forged) = early_forged {
-            for (b, vector) in forged.into_iter().enumerate() {
-                let w = honest + b;
-                if refresh[w] {
-                    self.latest[w].assign(vector.as_slice());
-                    self.latest_issued[w] = round;
-                    self.generations[w] = self.generations[w].wrapping_add(1);
-                    cutoff_nanos = cutoff_nanos.max(match timing {
-                        AttackTiming::Straggle => max_honest_arrival,
-                        _ => arrival[w],
-                    });
-                } else {
-                    dropped_stale += 1;
-                }
+        let forged = match early_forged {
+            Some(forged) => forged,
+            // Last-to-respond: forge now, observing exactly the honest rows
+            // that landed this round, timed at the closing arrival.
+            None => {
+                let observed: Vec<Vector> = (0..honest)
+                    .filter(|&w| refresh[w])
+                    .map(|w| table.rows[w].clone())
+                    .collect();
+                self.adversary.forge(
+                    &self.core,
+                    self.cluster,
+                    &observed,
+                    params,
+                    true_gradient,
+                    round,
+                )?
             }
-        } else {
-            // Last-to-respond: forge now, observing exactly the honest
-            // entries that landed this round, timed at the closing arrival.
-            let observed: Vec<Vector> = (0..honest)
-                .filter(|&w| refresh[w])
-                .map(|w| self.latest[w].clone())
-                .collect();
-            let mut forged = forge_proposals(
-                &*self.attack,
-                &self.attack_name,
-                &mut self.attack_rng,
-                &observed,
-                params,
-                true_gradient.as_ref(),
-                byzantine,
-                n,
-                round,
-                self.core.aggregator_name(),
-                self.dim,
-            )?;
-            if let Some(codec) = self.core.compression() {
-                transform_vectors(&**codec, &mut forged, params.as_slice());
+        };
+        for (b, vector) in forged.into_iter().enumerate() {
+            let w = honest + b;
+            if !refresh[w] {
+                dropped += 1;
+                continue;
             }
-            for (b, vector) in forged.into_iter().enumerate() {
-                let w = honest + b;
-                if refresh[w] {
-                    self.latest[w].assign(vector.as_slice());
-                    self.latest_issued[w] = round;
-                    self.generations[w] = self.generations[w].wrapping_add(1);
-                }
+            table.refresh(w, vector.as_slice(), round);
+            match timing {
+                AttackTiming::Honest => cutoff = cutoff.max(arrival[w]),
+                AttackTiming::Straggle => cutoff = cutoff.max(slowest_honest),
+                AttackTiming::LastToRespond => {}
             }
         }
-        let attack_nanos = attack_start.elapsed().as_nanos();
-
-        // Table staleness stats (the table *is* the quorum here).
-        let stale_in_quorum = self
-            .latest_issued
-            .iter()
-            .filter(|&&issued| issued < round)
-            .count();
-        let max_staleness_in_quorum = self
-            .latest_issued
-            .iter()
-            .map(|&issued| round - issued)
-            .max()
-            .unwrap_or(0);
-
-        // Phases 4–6: aggregate the full table at arity `n`. Arming the
-        // per-worker generations lets the workspace recompute only the
-        // refreshed Gram rows — bit-identical to a full recompute.
-        if self.gram_cache {
-            self.core.set_generations(&self.generations);
-        }
-        let probe = self.probe.as_deref().unwrap_or(&*self.estimators[0]);
-        let mut record =
-            self.core
-                .close_round(params, round, &self.latest, true_gradient, Some(probe))?;
-        record.propose_nanos = propose_nanos;
-        record.attack_nanos = attack_nanos;
-        record.round_nanos = round_start.elapsed().as_nanos();
-        // The table is in worker order, so the selection index is already a
-        // worker id and `close_round` attributed Byzantine selection right.
-        record.quorum_size = Some(refreshed);
-        record.stale_in_quorum = Some(stale_in_quorum);
-        record.max_staleness_in_quorum = Some(max_staleness_in_quorum);
-        record.dropped_stale = Some(dropped_stale);
-        record.pending_carryover = Some(0);
-        record.network_nanos = cutoff_nanos;
-        record.round_nanos += cutoff_nanos;
-        observe_round(
-            &mut self.drift,
-            &mut *self.attack,
-            &mut record,
-            self.core.last_aggregate(),
-            &self.latest,
-            &self.identity_ids,
-            honest,
-        );
-        Ok(record)
+        let stats =
+            QuorumStats::measure(round, table.issued.iter().copied(), refreshed, dropped, 0);
+        Ok((stats, cutoff))
     }
 
     /// Metadata-filled empty history for a run of this engine.
@@ -1289,13 +919,13 @@ impl RoundEngine {
             format!(
                 "{} vs {} (n={}, f={}, d={})",
                 self.core.aggregator_name(),
-                self.attack_name,
+                self.adversary.name,
                 self.cluster.workers(),
                 self.cluster.byzantine(),
                 self.dim
             ),
             self.core.aggregator_name().to_string(),
-            self.attack_name.clone(),
+            self.adversary.name.clone(),
             self.cluster.workers(),
             self.cluster.byzantine(),
         )

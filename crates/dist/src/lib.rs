@@ -1,6 +1,6 @@
 //! # krum-dist
 //!
-//! Synchronous parameter-server training engines for the Krum reproduction.
+//! The in-process parameter-server engine for the Krum reproduction.
 //!
 //! The paper's model section fixes the protocol: each round `t`, the server
 //! broadcasts `x_t`, every correct worker replies with a gradient estimate
@@ -10,26 +10,28 @@
 //!
 //! One [`RoundEngine`] implements that protocol as a
 //! broadcast → propose → attack → aggregate → step → record pipeline,
-//! parameterized by an [`ExecutionStrategy`]; two thin trainer facades pick
-//! the strategy:
+//! parameterized by an [`ExecutionStrategy`]: the sequential reference
+//! barrier, the threaded barrier (honest gradients fan out over the `rayon`
+//! pool and a simulated [`NetworkModel`] — per-message latency + bandwidth —
+//! is charged to the round timings, for the cost-of-resilience experiments
+//! of E8), and partial-quorum rounds under the simulated network.
 //!
-//! * [`SyncTrainer`] — [`ExecutionStrategy::Sequential`], the reference
-//!   engine;
-//! * [`ThreadedTrainer`] — [`ExecutionStrategy::Threaded`]: honest worker
-//!   gradients fan out over the `rayon` pool and a simulated
-//!   [`NetworkModel`] (per-message latency + bandwidth) is charged to the
-//!   round timings, for the cost-of-resilience experiments (E8).
+//! Which proposals a round aggregates is decided by one [`QuorumBook`] —
+//! at most one proposal per worker, oldest carried straggler first, stale
+//! leftovers dropped — which the TCP server (`krum-server`) drives with
+//! real arrivals. [`RoundCore`] is the shared server tail
+//! (aggregate → step → record).
 //!
 //! The engine is a deterministic function of [`TrainingConfig::seed`] —
 //! worker, attack and network randomness are independent ChaCha streams
-//! derived from it — so every strategy produces **identical parameter
-//! trajectories** and experiments are exactly reproducible.
+//! derived from it — so the barrier strategies produce **identical
+//! parameter trajectories** and experiments are exactly reproducible.
 //!
-//! Performance notes: the per-round proposal buffer and the aggregation
-//! workspace ([`krum_core::AggregationContext`]) are allocated once and
-//! reused, making the server-side aggregation path allocation-free in the
-//! steady state; each pipeline phase is timed separately so the `O(n²·d)`
-//! cost of Krum stays visible in the metrics.
+//! Performance notes: the per-round proposal buffer, the quorum book and
+//! the aggregation workspace ([`krum_core::AggregationContext`]) are
+//! allocated once and reused, making the server-side aggregation path
+//! allocation-free in the steady state; each pipeline phase is timed
+//! separately so the `O(n²·d)` cost of Krum stays visible in the metrics.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,24 +41,22 @@ mod drift;
 mod engine;
 mod error;
 mod network;
+mod quorum;
 mod round_core;
-mod sync;
-mod threaded;
 
 pub use config::{ClusterSpec, LearningRateSchedule, TrainingConfig};
 pub use drift::DriftTracker;
 pub use engine::{stream_rng, ExecutionStrategy, RoundEngine, ATTACK_STREAM};
 pub use error::TrainError;
 pub use network::{LatencyModel, NetworkModel, LATENCY_MODEL_NAMES};
+pub use quorum::{check_quorum, check_refresh_pace, QuorumBook, QuorumStats};
 pub use round_core::{AccuracyProbe, RoundCore};
-pub use sync::SyncTrainer;
-pub use threaded::ThreadedTrainer;
 
 /// Convenience prelude for the distributed-training crate.
 pub mod prelude {
     pub use crate::{
         ClusterSpec, DriftTracker, ExecutionStrategy, LatencyModel, LearningRateSchedule,
-        NetworkModel, RoundEngine, SyncTrainer, ThreadedTrainer, TrainError, TrainingConfig,
+        NetworkModel, QuorumBook, RoundEngine, TrainError, TrainingConfig,
     };
 }
 
@@ -96,12 +96,14 @@ mod tests {
     fn sync_trainer_converges_on_clean_quadratic() {
         let dim = 8;
         let cluster = ClusterSpec::new(5, 0).unwrap();
-        let mut trainer = SyncTrainer::new(
+        let mut trainer = RoundEngine::new(
             cluster,
             Box::new(Average::new()),
             Box::new(NoAttack::new()),
             estimators(5, dim, 0.05),
+            None,
             config(120, dim),
+            ExecutionStrategy::Sequential,
         )
         .unwrap();
         assert_eq!(trainer.cluster().workers(), 5);
@@ -121,12 +123,14 @@ mod tests {
         let dim = 6;
         let cluster = ClusterSpec::new(7, 2).unwrap();
         let run = || {
-            let mut trainer = SyncTrainer::new(
+            let mut trainer = RoundEngine::new(
                 cluster,
                 Box::new(Krum::new(7, 2).unwrap()),
                 Box::new(SignFlip::new(3.0).unwrap()),
                 estimators(5, dim, 0.2),
+                None,
                 config(30, dim),
+                ExecutionStrategy::Sequential,
             )
             .unwrap();
             trainer.run(Vector::filled(dim, 1.0)).unwrap().0
@@ -138,12 +142,14 @@ mod tests {
     fn run_round_advances_from_given_params() {
         let dim = 4;
         let cluster = ClusterSpec::new(5, 1).unwrap();
-        let mut trainer = SyncTrainer::new(
+        let mut trainer = RoundEngine::new(
             cluster,
             Box::new(Krum::new(5, 1).unwrap()),
             Box::new(NoAttack::new()),
             estimators(4, dim, 0.0),
+            None,
             config(1, dim),
+            ExecutionStrategy::Sequential,
         )
         .unwrap();
         let start = Vector::filled(dim, 1.0);
@@ -161,23 +167,27 @@ mod tests {
         let dim = 4;
         let cluster = ClusterSpec::new(5, 1).unwrap();
         // Wrong estimator count.
-        assert!(SyncTrainer::new(
+        assert!(RoundEngine::new(
             cluster,
             Box::new(Average::new()),
             Box::new(NoAttack::new()),
             estimators(3, dim, 0.1),
+            None,
             config(5, dim),
+            ExecutionStrategy::Sequential
         )
         .is_err());
         // Mismatched estimator dimensions.
         let mut mixed = estimators(3, dim, 0.1);
         mixed.extend(estimators(1, dim + 1, 0.1));
-        assert!(SyncTrainer::new(
+        assert!(RoundEngine::new(
             cluster,
             Box::new(Average::new()),
             Box::new(NoAttack::new()),
             mixed,
+            None,
             config(5, dim),
+            ExecutionStrategy::Sequential
         )
         .is_err());
         // Known optimum with the wrong dimension.
@@ -185,26 +195,29 @@ mod tests {
             known_optimum: Some(Vector::zeros(dim + 2)),
             ..config(5, dim)
         };
-        assert!(SyncTrainer::new(
+        assert!(RoundEngine::new(
             cluster,
             Box::new(Average::new()),
             Box::new(NoAttack::new()),
             estimators(4, dim, 0.1),
+            None,
             bad_config,
+            ExecutionStrategy::Sequential
         )
         .is_err());
-        // Threaded engine wants honest + 1 estimators.
+        // The threaded engine wants one estimator per honest worker too.
         let network = NetworkModel {
             latency: LatencyModel::Constant { nanos: 1_000 },
             nanos_per_byte: 0.1,
         };
-        assert!(ThreadedTrainer::new(
+        assert!(RoundEngine::new(
             cluster,
             Box::new(Average::new()),
             Box::new(NoAttack::new()),
-            estimators(4, dim, 0.1),
+            estimators(3, dim, 0.1),
+            Some(estimators(1, dim, 0.1).pop().unwrap()),
             config(5, dim),
-            network,
+            ExecutionStrategy::Threaded { network },
         )
         .is_err());
     }
@@ -220,21 +233,24 @@ mod tests {
             },
             nanos_per_byte: 0.5,
         };
-        let mut sequential = SyncTrainer::new(
+        let mut sequential = RoundEngine::new(
             cluster,
             Box::new(Krum::new(6, 1).unwrap()),
             Box::new(SignFlip::new(2.0).unwrap()),
             estimators(5, dim, 0.3),
+            None,
             config(25, dim),
+            ExecutionStrategy::Sequential,
         )
         .unwrap();
-        let mut threaded = ThreadedTrainer::new(
+        let mut threaded = RoundEngine::new(
             cluster,
             Box::new(Krum::new(6, 1).unwrap()),
             Box::new(SignFlip::new(2.0).unwrap()),
-            estimators(6, dim, 0.3),
+            estimators(5, dim, 0.3),
+            Some(estimators(1, dim, 0.3).pop().unwrap()),
             config(25, dim),
-            network,
+            ExecutionStrategy::Threaded { network },
         )
         .unwrap();
         let start = Vector::filled(dim, 1.5);
@@ -244,7 +260,7 @@ mod tests {
         // The network charge only widens the round timings.
         assert!(thr_history.mean_round_nanos() >= seq_history.mean_round_nanos());
         assert!(thr_history.mean_round_nanos() >= 2_000.0);
-        assert_eq!(threaded.network(), network);
+        assert_eq!(threaded.strategy().network(), Some(network));
         assert_eq!(threaded.cluster().honest(), 5);
         assert_eq!(threaded.dim(), dim);
         // Per-phase accounting: the sequential engine charges no network
@@ -288,42 +304,6 @@ mod tests {
         let history = engine.new_history();
         assert_eq!(history.workers, 5);
         assert!(history.aggregator.contains("krum"));
-    }
-
-    #[test]
-    fn engine_strategies_match_trainer_trajectories() {
-        // The same RoundEngine drives both facades; a bare engine with the
-        // Threaded strategy must reproduce the ThreadedTrainer trajectory.
-        let dim = 6;
-        let cluster = ClusterSpec::new(7, 2).unwrap();
-        let network = NetworkModel {
-            latency: LatencyModel::Constant { nanos: 500 },
-            nanos_per_byte: 0.2,
-        };
-        let mut engine = RoundEngine::new(
-            cluster,
-            Box::new(Krum::new(7, 2).unwrap()),
-            Box::new(SignFlip::new(2.5).unwrap()),
-            estimators(5, dim, 0.4),
-            Some(estimators(1, dim, 0.4).pop().unwrap()),
-            config(12, dim),
-            ExecutionStrategy::Threaded { network },
-        )
-        .unwrap();
-        let mut trainer = ThreadedTrainer::new(
-            cluster,
-            Box::new(Krum::new(7, 2).unwrap()),
-            Box::new(SignFlip::new(2.5).unwrap()),
-            estimators(6, dim, 0.4),
-            config(12, dim),
-            network,
-        )
-        .unwrap();
-        let start = Vector::filled(dim, 1.0);
-        let (a, _) = engine.run(start.clone()).unwrap();
-        let (b, _) = trainer.run(start).unwrap();
-        assert_eq!(a, b);
-        assert!(trainer.engine_mut().strategy().network().is_some());
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -713,8 +693,8 @@ mod tests {
     /// paper's model — one vector per worker per aggregation), so the
     /// Byzantine share of a quorum is structurally capped at `f` and Krum's
     /// re-validated `2f + 2 < quorum` precondition actually holds. The
-    /// per-worker uniqueness is enforced by a `debug_assert` inside
-    /// `step_async` (active in this test build); behaviourally, `ConstantByz`
+    /// per-worker uniqueness is enforced by the `QuorumBook`'s admission
+    /// (in every build profile); behaviourally, `ConstantByz`
     /// forms a 0-diameter Byzantine cluster across rounds, so any quorum
     /// that ever held 2f = 4 of its vectors would hand Krum(7, 2) a 0-score
     /// cluster (neighbours = 3) that wins the argmin outright.
@@ -882,12 +862,14 @@ mod tests {
     #[test]
     fn poisoned_round_is_a_structured_engine_error() {
         let dim = 4;
-        let mut trainer = SyncTrainer::new(
+        let mut trainer = RoundEngine::new(
             ClusterSpec::new(6, 2).unwrap(),
             Box::new(Average::new()),
             Box::new(krum_attacks::NonFinite::new()),
             estimators(4, dim, 0.1),
+            None,
             config(10, dim),
+            ExecutionStrategy::Sequential,
         )
         .unwrap();
         let err = trainer.run(Vector::filled(dim, 1.0)).unwrap_err();
@@ -897,12 +879,14 @@ mod tests {
         );
         assert!(err.to_string().contains("poisoned round"));
         // Krum filters the same poison and completes finitely.
-        let mut trainer = SyncTrainer::new(
+        let mut trainer = RoundEngine::new(
             ClusterSpec::new(7, 2).unwrap(),
             Box::new(Krum::new(7, 2).unwrap()),
             Box::new(krum_attacks::NonFinite::new()),
             estimators(5, dim, 0.1),
+            None,
             config(10, dim),
+            ExecutionStrategy::Sequential,
         )
         .unwrap();
         let (params, history) = trainer.run(Vector::filled(dim, 1.0)).unwrap();

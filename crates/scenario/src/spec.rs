@@ -3,7 +3,10 @@
 use krum_attacks::AttackSpec;
 use krum_compress::CompressionSpec;
 use krum_core::RuleSpec;
-use krum_dist::{ClusterSpec, ExecutionStrategy, LearningRateSchedule, NetworkModel};
+use krum_dist::{
+    check_quorum, check_refresh_pace, ClusterSpec, ExecutionStrategy, LearningRateSchedule,
+    NetworkModel,
+};
 use krum_models::EstimatorSpec;
 use krum_tensor::InitStrategy;
 use serde::{DeError, Deserialize, Serialize, Value};
@@ -559,40 +562,21 @@ impl ScenarioSpec {
         let cluster = ClusterSpec::new(self.cluster.workers(), self.cluster.byzantine())?;
         self.estimator.validate()?;
         let dim = self.estimator.dim()?;
-        // Async/remote execution narrows what the rule aggregates: its
-        // preconditions must hold against the quorum size, not n.
-        let narrowed_quorum = match self.execution {
-            // Reuse mode aggregates all n; its quorum is a refresh pace.
+        // Async/remote execution narrows what the rule aggregates (its
+        // preconditions must hold against the quorum size, not n); reuse
+        // mode aggregates all n and its quorum is a refresh pace.
+        match self.execution {
             ExecutionSpec::AsyncQuorum {
                 quorum,
                 reuse_stale: true,
                 ..
-            } => {
-                if quorum < 1 || quorum > cluster.workers() {
-                    return Err(ScenarioError::invalid(format!(
-                        "reuse-stale quorum must satisfy 1 <= quorum <= n, got quorum = \
-                         {quorum} with n = {}",
-                        cluster.workers()
-                    )));
-                }
-                None
-            }
+            } => check_refresh_pace(cluster.workers(), quorum).map_err(ScenarioError::invalid)?,
             ExecutionSpec::AsyncQuorum { quorum, .. }
             | ExecutionSpec::Remote {
                 quorum: Some(quorum),
                 ..
-            } => Some(quorum),
-            _ => None,
-        };
-        if let Some(quorum) = narrowed_quorum {
-            if quorum < cluster.honest() || quorum > cluster.workers() {
-                return Err(ScenarioError::invalid(format!(
-                    "quorum must satisfy n - f <= quorum <= n, got quorum = {quorum} \
-                     with n = {}, f = {}",
-                    cluster.workers(),
-                    cluster.byzantine()
-                )));
-            }
+            } => check_quorum(cluster, quorum).map_err(ScenarioError::invalid)?,
+            _ => {}
         }
         // Building the rule and the attack runs their own cross-checks
         // against (arity, f) and d; the built values are discarded.

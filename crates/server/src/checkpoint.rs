@@ -16,6 +16,7 @@
 //! [`crate::worker`]) — the checkpoint only has to restore the server-side
 //! state: `x_t`, the straggler queue and the history.
 
+use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -186,6 +187,32 @@ pub(crate) fn read_checkpoint(path: &Path) -> Result<ResumeState, ServerError> {
         return Err(ServerError::Checkpoint(format!(
             "snapshot already holds all {} rounds; nothing to resume",
             state.spec.rounds
+        )));
+    }
+    // The carry-over re-enters the quorum book as if it had arrived at the
+    // server: each entry must name a worker of the cluster, predate the
+    // resume round, fit the model and be that worker's only proposal of
+    // its round.
+    let n = state.spec.cluster.workers();
+    let mut seen = BTreeSet::new();
+    for carry in &pending {
+        let (worker, issued) = (carry.worker, carry.issued_round);
+        let problem = if worker as usize >= n {
+            format!("names worker {worker} of a {n}-worker cluster")
+        } else if issued >= round {
+            format!("of worker {worker} was issued at round {issued}, not before round {round}")
+        } else if carry.proposal.len() != dim {
+            format!(
+                "of worker {worker} has dimension {}, spec says {dim}",
+                carry.proposal.len()
+            )
+        } else if !seen.insert((worker, issued)) {
+            format!("of worker {worker} for round {issued} appears twice")
+        } else {
+            continue;
+        };
+        return Err(ServerError::Checkpoint(format!(
+            "snapshot carry-over {problem}"
         )));
     }
     Ok(ResumeState {
@@ -380,6 +407,45 @@ mod tests {
             read_checkpoint(&path).unwrap_err(),
             ServerError::Checkpoint(_)
         ));
+
+        // A carry-over the resumed job could not seat is rejected: a worker
+        // outside the cluster, an issue round at or after the resume round,
+        // a wrong dimension, or a second proposal of one worker's round.
+        let carry = |worker: u32, issued_round: u64, len: usize| CarryOver {
+            worker,
+            issued_round,
+            proposal: vec![1.0; len],
+        };
+        write_checkpoint(
+            &config,
+            1,
+            1,
+            &params,
+            &[carry(8, 0, dim)],
+            &spec,
+            &history,
+            0,
+            None,
+        )
+        .unwrap();
+        assert_eq!(read_checkpoint(&path).unwrap().pending.len(), 1);
+        for pending in [
+            vec![carry(999, 0, dim)],
+            vec![carry(9, 0, dim)],
+            vec![carry(999, 77, 3)],
+            vec![carry(3, 1, dim)],
+            vec![carry(3, 0, dim - 1)],
+            vec![carry(3, 0, dim), carry(3, 0, dim)],
+        ] {
+            write_checkpoint(&config, 1, 1, &params, &pending, &spec, &history, 0, None).unwrap();
+            assert!(
+                matches!(
+                    read_checkpoint(&path).unwrap_err(),
+                    ServerError::Checkpoint(_)
+                ),
+                "carry-over {pending:?} must be rejected"
+            );
+        }
 
         assert!(list_checkpoints(&std::env::temp_dir().join("definitely-missing-krum")).is_err());
         fs::remove_dir_all(&dir).unwrap();

@@ -5,25 +5,25 @@
 //! per-connection reader threads; each round it
 //!
 //! 1. **broadcasts** `x_t` to every live honest worker,
-//! 2. **collects** proposals in *real arrival order*, seeding the round
-//!    with the carried stragglers of earlier rounds (they are already at
-//!    the server, so they outrank every fresh arrival — exactly the
-//!    in-process async engine's tier-0 semantics),
+//! 2. **collects** proposals in *real arrival order* into the job's
+//!    [`QuorumBook`] — the book the in-process engine drives with simulated
+//!    arrivals — behind the carried stragglers of earlier rounds (they are
+//!    already at the server, so they outrank every fresh arrival),
 //! 3. **relays** the honest proposals to the adversary connection once
 //!    every honest proposal the round can still produce is in (the paper's
 //!    omniscient adversary, made explicit as bytes on the wire),
 //! 4. **closes the quorum** at the `quorum`-th distinct-worker arrival
-//!    (at most one proposal per worker per quorum — the Byzantine share
-//!    stays capped at `f`), carries the leftovers forward under the
-//!    `max_staleness` bound, and
+//!    (the book admits at most one proposal per worker per quorum — the
+//!    Byzantine share stays capped at `f`), carries the leftovers forward
+//!    under the `max_staleness` bound, and
 //! 5. hands the quorum to the shared [`RoundCore`] for
 //!    aggregate → step → record — the same code path the in-process
-//!    engines run, which is why a loopback barrier run reproduces
+//!    engine runs, which is why a loopback barrier run reproduces
 //!    [`Scenario::run`](krum_scenario::Scenario) bit-for-bit.
 //!
-//! The quorum's composition is ordered by real arrivals, but the
-//! *aggregation input* is sorted by `(issued_round, worker)` like the
-//! in-process async engine, so the rule sees a deterministic layout.
+//! The quorum's composition is ordered by real arrivals, but the book lays
+//! the *aggregation input* out by `(issued_round, worker)`, so the rule sees
+//! a deterministic layout.
 //!
 //! # Churn: crash faults, heartbeats, rejoin, degraded rounds
 //!
@@ -62,7 +62,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use krum_compress::GradientCodec;
-use krum_dist::{DriftTracker, RoundCore, TrainingConfig};
+use krum_dist::{ClusterSpec, DriftTracker, QuorumBook, RoundCore, TrainingConfig};
 use krum_metrics::{RoundRecord, TrainingHistory};
 use krum_models::GradientEstimator;
 use krum_scenario::{
@@ -164,10 +164,15 @@ impl JobRuntime {
     }
 }
 
-/// How rounds close for a given execution spec: quorum size, staleness
-/// bound, and whether the quorum/staleness columns should be recorded.
-fn close_policy(execution: &ExecutionSpec, n: usize) -> (usize, usize, bool) {
-    match *execution {
+/// The quorum book a job's rounds close through, and whether its
+/// quorum/staleness columns are recorded: barrier executions (and `Remote`
+/// without a quorum) close at `n` and record none.
+fn quorum_book(
+    execution: &ExecutionSpec,
+    cluster: ClusterSpec,
+) -> Result<(QuorumBook, bool), ServerError> {
+    let n = cluster.workers();
+    let (quorum, max_staleness, record_quorum) = match *execution {
         ExecutionSpec::Sequential | ExecutionSpec::Threaded { .. } => (n, 0, false),
         ExecutionSpec::AsyncQuorum {
             quorum,
@@ -178,35 +183,19 @@ fn close_policy(execution: &ExecutionSpec, n: usize) -> (usize, usize, bool) {
             quorum,
             max_staleness,
             ..
-        } => match quorum {
-            Some(q) => (q, max_staleness, true),
-            None => (n, max_staleness, false),
-        },
-    }
+        } => (quorum.unwrap_or(n), max_staleness, quorum.is_some()),
+    };
+    Ok((
+        QuorumBook::new(cluster, quorum, max_staleness)?,
+        record_quorum,
+    ))
 }
 
 /// The per-round closing rules of one job, bundled once in `drive_job`.
 struct ClosePolicy {
-    quorum: usize,
-    max_staleness: usize,
     record_quorum: bool,
     timeouts: RemoteTimeouts,
     on_crash: Option<CrashPolicy>,
-}
-
-/// A proposal that arrived but did not make its round's quorum, carried
-/// forward as a stale candidate.
-struct Pending {
-    worker: usize,
-    issued_round: usize,
-    vector: Vector,
-}
-
-/// One selected quorum member.
-struct Selected {
-    worker: usize,
-    issued_round: usize,
-    vector: Vector,
 }
 
 /// Runs one job to completion: `rounds` server rounds over the given
@@ -429,10 +418,8 @@ fn drive_job(
     };
     drop(estimators);
 
-    let (quorum, max_staleness, record_quorum) = close_policy(&spec.execution, n);
+    let (mut book, record_quorum) = quorum_book(&spec.execution, cluster)?;
     let policy = ClosePolicy {
-        quorum,
-        max_staleness,
         record_quorum,
         timeouts: runtime.timeouts,
         on_crash: runtime.on_crash,
@@ -442,7 +429,7 @@ fn drive_job(
     // restores the server-side state; the workers restore theirs by
     // fast-forwarding their deterministic RNG streams (or by simply still
     // being alive, for an in-process kill/resume).
-    let (start_round, mut params, mut pending, mut history, wall_before) = match &runtime.resume {
+    let (start_round, mut params, mut history, wall_before) = match &runtime.resume {
         Some(resume) => {
             if resume.params.dim() != dim {
                 return Err(ServerError::Checkpoint(format!(
@@ -450,15 +437,13 @@ fn drive_job(
                     resume.params.dim()
                 )));
             }
-            let pending: Vec<Pending> = resume
-                .pending
-                .iter()
-                .map(|c| Pending {
-                    worker: c.worker as usize,
-                    issued_round: c.issued_round as usize,
-                    vector: Vector::from(c.proposal.clone()),
-                })
-                .collect();
+            for c in &resume.pending {
+                book.restore_carry(
+                    c.worker as usize,
+                    c.issued_round as usize,
+                    Vector::from(c.proposal.clone()),
+                );
+            }
             // Reinstall the stateful-rule memory (reputation weights, clip
             // anchor) so the resumed rounds weigh workers exactly as the
             // uninterrupted run would have.
@@ -466,7 +451,6 @@ fn drive_job(
             (
                 resume.start_round as usize,
                 resume.params.clone(),
-                pending,
                 resume.history.clone(),
                 resume.wall_nanos,
             )
@@ -495,7 +479,7 @@ fn drive_job(
                 n,
                 f,
             );
-            (0, params, Vec::new(), history, 0)
+            (0, params, history, 0)
         }
     };
 
@@ -522,7 +506,7 @@ fn drive_job(
             &mut core,
             &*probe,
             &mut params,
-            &mut pending,
+            &mut book,
             &policy,
             codec.as_deref(),
             &mut drift,
@@ -531,12 +515,12 @@ fn drive_job(
         let halting = runtime.halt_after_round == Some(round as u64);
         if let Some(config) = &runtime.checkpoint {
             if (round as u64 + 1).is_multiple_of(config.every) || halting {
-                let carry: Vec<CarryOver> = pending
-                    .iter()
-                    .map(|p| CarryOver {
-                        worker: p.worker as u32,
-                        issued_round: p.issued_round as u64,
-                        proposal: p.vector.as_slice().to_vec(),
+                let carry: Vec<CarryOver> = book
+                    .carried()
+                    .map(|(worker, issued_round, vector)| CarryOver {
+                        worker: worker as u32,
+                        issued_round: issued_round as u64,
+                        proposal: vector.as_slice().to_vec(),
                     })
                     .collect();
                 let bytes = checkpoint::write_checkpoint(
@@ -603,7 +587,7 @@ fn serve_round(
     core: &mut RoundCore,
     probe: &dyn GradientEstimator,
     params: &mut Vector,
-    pending: &mut Vec<Pending>,
+    book: &mut QuorumBook,
     policy: &ClosePolicy,
     codec: Option<&dyn GradientCodec>,
     drift: &mut DriftTracker,
@@ -668,50 +652,14 @@ fn serve_round(
         }
     }
 
-    // Quorum selection state. Carried stragglers are already at the server:
-    // they outrank every fresh arrival, consumed oldest-first with at most
-    // one proposal per worker per quorum.
-    pending.sort_by_key(|p| (p.issued_round, p.worker));
-    let quorum = policy.quorum;
-    let mut taken = vec![false; n];
-    let mut selected: Vec<Selected> = Vec::with_capacity(quorum);
-    let mut leftover: Vec<Pending> = Vec::new();
-    let mut arrival_nanos: Option<u128> = None;
-    let offer = |entry: Pending,
-                 selected: &mut Vec<Selected>,
-                 leftover: &mut Vec<Pending>,
-                 taken: &mut [bool],
-                 arrival_nanos: &mut Option<u128>,
-                 now: &Instant| {
-        if selected.len() < quorum && !taken[entry.worker] {
-            taken[entry.worker] = true;
-            selected.push(Selected {
-                worker: entry.worker,
-                issued_round: entry.issued_round,
-                vector: entry.vector,
-            });
-            if selected.len() == quorum {
-                *arrival_nanos = Some(now.elapsed().as_nanos());
-            }
-        } else {
-            leftover.push(entry);
-        }
-    };
-    for entry in pending.drain(..) {
-        offer(
-            entry,
-            &mut selected,
-            &mut leftover,
-            &mut taken,
-            &mut arrival_nanos,
-            &round_open,
-        );
-    }
+    // Carried stragglers are already at the server: the book offers them
+    // ahead of every fresh arrival.
+    book.open(round, 0);
 
     // Collect this round's fresh proposals in real arrival order, weaving
     // in heartbeats, crash obituaries and rejoins. The loop drains every
     // proposal the round can still produce (the quorum may close earlier —
-    // `arrival_nanos` pins that moment — but stragglers are bookkept into
+    // the book's cutoff pins that moment — but stragglers are bookkept into
     // the carry pool before the next round opens, matching the in-process
     // async engine's accounting).
     let mut honest_seen = vec![false; honest];
@@ -1025,17 +973,11 @@ fn serve_round(
                         observed[worker] = Some(proposal.clone());
                     }
                 }
-                offer(
-                    Pending {
-                        worker,
-                        issued_round: round,
-                        vector: Vector::from(proposal),
-                    },
-                    &mut selected,
-                    &mut leftover,
-                    &mut taken,
-                    &mut arrival_nanos,
-                    &round_open,
+                book.admit(
+                    worker,
+                    round,
+                    Vector::from(proposal),
+                    round_open.elapsed().as_nanos(),
                 );
             }
         }
@@ -1076,24 +1018,19 @@ fn serve_round(
             }
         }
     }
-    let arrival_nanos = arrival_nanos.unwrap_or_else(|| round_open.elapsed().as_nanos());
+    let arrival_nanos = if book.is_full() {
+        book.cutoff()
+    } else {
+        round_open.elapsed().as_nanos()
+    };
 
-    // Carry the unselected proposals forward under the staleness bound.
-    let mut dropped_stale = 0usize;
-    for entry in leftover {
-        if round + 1 - entry.issued_round > policy.max_staleness {
-            dropped_stale += 1;
-        } else {
-            pending.push(entry);
-        }
-    }
-    let pending_carryover = pending.len();
-
-    // Quorum/staleness stats, then the deterministic aggregation layout:
-    // (issued_round, worker) order, exactly like the in-process async
-    // engine (plain worker order when the quorum is all-fresh).
-    let quorum_size = selected.len();
-    let degraded = quorum_size < quorum;
+    // Carry the leftovers forward under the staleness bound and lay the
+    // quorum out in (issued_round, worker) order, exactly like the
+    // in-process engine (plain worker order when the quorum is all-fresh).
+    book.close();
+    let stats = book.stats();
+    let quorum_size = stats.quorum_size;
+    let degraded = quorum_size < book.quorum();
     if degraded && quorum_size < honest {
         // Below n − f live proposals no close is sound: more workers
         // crashed than the fault bound absorbs.
@@ -1104,23 +1041,11 @@ fn serve_round(
             needed: honest,
         });
     }
-    let stale_in_quorum = selected.iter().filter(|s| s.issued_round < round).count();
-    let max_staleness_in_quorum = selected
-        .iter()
-        .map(|s| round - s.issued_round)
-        .max()
-        .unwrap_or(0);
-    selected.sort_by_key(|s| (s.issued_round, s.worker));
-    let meta: Vec<(usize, usize)> = selected
-        .iter()
-        .map(|s| (s.worker, s.issued_round))
-        .collect();
-    let worker_ids: Vec<usize> = meta.iter().map(|&(w, _)| w).collect();
-    let vectors: Vec<Vector> = selected.into_iter().map(|s| s.vector).collect();
+    let (vectors, worker_ids) = (book.vectors(), book.workers());
 
     // Stateful rules key their memory by worker, not by proposal slot:
     // declare who is behind each slot before the core closes the round.
-    core.set_slot_workers(&worker_ids);
+    core.set_slot_workers(worker_ids);
 
     // Aggregate → step → record through the shared core. A crash-degraded
     // round closes through the same rule rebuilt at the surviving arity
@@ -1129,11 +1054,11 @@ fn serve_round(
     let true_gradient = probe.true_gradient(params);
     let mut record = if degraded {
         let rule = spec.rule.build(quorum_size, f)?;
-        core.close_round_with(&*rule, params, round, &vectors, true_gradient, Some(probe))?
+        core.close_round_with(&*rule, params, round, vectors, true_gradient, Some(probe))?
     } else {
-        core.close_round(params, round, &vectors, true_gradient, Some(probe))?
+        core.close_round(params, round, vectors, true_gradient, Some(probe))?
     };
-    record.selected_worker = record.selected_worker.map(|slot| meta[slot].0);
+    record.selected_worker = record.selected_worker.map(|slot| worker_ids[slot]);
     record.selected_byzantine = record.selected_worker.map(|w| w >= honest);
     // Drift columns from the exact quorum the rule saw — the same
     // arithmetic the in-process engines run, so loopback histories match.
@@ -1141,19 +1066,15 @@ fn serve_round(
     drift.observe(
         &mut record,
         core.last_aggregate(),
-        &vectors,
-        &worker_ids,
+        vectors,
+        worker_ids,
         honest,
         learning_rate,
     );
     record.propose_nanos = propose_nanos;
     record.attack_nanos = attack_nanos;
     if policy.record_quorum {
-        record.quorum_size = Some(quorum_size);
-        record.stale_in_quorum = Some(stale_in_quorum);
-        record.max_staleness_in_quorum = Some(max_staleness_in_quorum);
-        record.dropped_stale = Some(dropped_stale);
-        record.pending_carryover = Some(pending_carryover);
+        stats.record(&mut record);
     }
     record.arrival_nanos = Some(arrival_nanos);
     record.reconnects = Some(reconnects);

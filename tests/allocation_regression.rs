@@ -19,6 +19,7 @@ use krum::aggregation::{
     AggregationContext, Aggregator, ClosestToBarycenter, CoordinateWiseMedian, ExecutionPolicy,
     Hierarchical, Krum, MultiKrum, StageRule, TrimmedMean,
 };
+use krum::dist::{ClusterSpec, QuorumBook};
 use krum::tensor::Vector;
 
 thread_local! {
@@ -234,4 +235,59 @@ fn hierarchical_aggregation_is_allocation_free_after_warmup() {
         after - before
     );
     assert_eq!(ctx.output(), &expected);
+}
+
+/// Satellite: the quorum book's steady state. After warm-up, its
+/// open → admit → close cycle over a fixed `n` and quorum performs zero
+/// allocations: the slot flags, the deferred and carry pools and the
+/// layout buffers are all reused. The proposals themselves are built
+/// before the measured region — they are the workers' allocations, moved
+/// through the book.
+#[test]
+fn quorum_book_cycle_is_allocation_free_after_warmup() {
+    let (n, f, quorum, max_staleness, dim) = (24, 5, 20, 1, 16);
+    let mut book = QuorumBook::new(ClusterSpec::new(n, f).unwrap(), quorum, max_staleness).unwrap();
+    let (warmup, rounds) = (6, 26);
+    let mut inbox: Vec<Vec<Vector>> = (0..rounds)
+        .map(|r| {
+            (0..n)
+                .map(|w| Vector::filled(dim, (r * n + w) as f64))
+                .collect()
+        })
+        .collect();
+    let cycle = |book: &mut QuorumBook, round: usize, proposals: &mut [Vector]| {
+        // Every other round holds `f` slots back for late arrivals.
+        let reserve = if round.is_multiple_of(2) { f } else { 0 };
+        book.open(round, reserve);
+        for i in 0..n {
+            let worker = (i * 7) % n;
+            let vector = std::mem::take(&mut proposals[worker]);
+            book.admit(worker, round, vector, i as u128);
+            if i == n - reserve {
+                book.release();
+            }
+        }
+        book.close();
+    };
+    for (round, proposals) in inbox.iter_mut().enumerate().take(warmup) {
+        cycle(&mut book, round, proposals);
+    }
+
+    let before = allocations();
+    let mut carried = 0;
+    for (round, proposals) in inbox.iter_mut().enumerate().skip(warmup) {
+        cycle(&mut book, round, proposals);
+        carried += book.stats().pending_carryover;
+    }
+    let after = allocations();
+    assert_eq!(
+        after - before,
+        0,
+        "the quorum book allocated {} times in {} warm rounds",
+        after - before,
+        rounds - warmup
+    );
+    // The measured rounds exercised the carry pool and closed full quorums.
+    assert!(carried > 0);
+    assert_eq!(book.stats().quorum_size, quorum);
 }
